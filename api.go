@@ -172,7 +172,7 @@ func RunScaledContext(ctx context.Context, prof Profile, cfg Config, totalChunks
 // attempt history is recorded on the Result (success) or in the returned
 // *RetryError (final failure).
 func RunWithRetry(ctx context.Context, prof Profile, cfg Config, pol RetryPolicy) (*Result, error) {
-	return system.RunWithRetry(ctx, prof, cfg, pol)
+	return system.RunWithRetry(ctx, prof, cfg, pol, nil)
 }
 
 // Splash2 returns the 11 SPLASH-2 application models.

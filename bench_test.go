@@ -11,6 +11,7 @@ package scalablebulk
 // raise it for higher-fidelity regeneration.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -82,6 +83,26 @@ func BenchmarkTable2MachineThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.Cycles), "simcycles/op")
+	}
+}
+
+// BenchmarkSweepFourApps times one serial sweep of Barnes, Radix, Ocean and
+// Canneal at 4 chunks/core — each app's 1-core baseline and every evaluated
+// protocol at 32 and 64 cores — on a fresh Session, so every point runs.
+// Warm-up dominates this sizing; profile it with -cpuprofile to see the
+// build/warm-up layers.
+func BenchmarkSweepFourApps(b *testing.B) {
+	apps := map[string]bool{"Barnes": true, "Radix": true, "Ocean": true, "Canneal": true}
+	var pts []Point
+	for _, p := range NewSession(4, 1, nil).SweepPoints() {
+		if apps[p.App] {
+			pts = append(pts, p)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		if err := NewSession(4, 1, nil).SweepContext(context.Background(), pts, 1).Err(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -250,7 +271,7 @@ func BenchmarkAblationStarvationMAX(b *testing.B) {
 				c.ProtoOptions = sb
 			})
 			b.ReportMetric(float64(r.Cycles), fmt.Sprintf("max%d_exec", max))
-			b.ReportMetric(float64(r.Proto.Stats()["fail_reserved"]), fmt.Sprintf("max%d_resv", max))
+			b.ReportMetric(float64(r.ProtoStats["fail_reserved"]), fmt.Sprintf("max%d_resv", max))
 		}
 	}
 }

@@ -113,7 +113,7 @@ func run() int {
 		par       = flag.Int("j", 0, "sweep parallelism (0 = GOMAXPROCS)")
 		timeout   = flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
 		crashDir  = flag.String("crashdir", "", "directory for per-point crash bundles ('' disables)")
-		outPath   = flag.String("o", "BENCH_PR10.json", "JSON report path (- for stdout)")
+		outPath   = flag.String("o", "-", "JSON report path (- for stdout)")
 		gobench   = flag.String("gobench", "", "also write benchstat-compatible text to this path")
 		telemetry = flag.String("telemetry", "", "serve live metrics on this address while benchmarking (e.g. :8090)")
 		server    = flag.String("server", "", "run the figure sweep on a sweep-farm server at this base URL (skips the serial comparison)")

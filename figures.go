@@ -14,6 +14,7 @@ import (
 	"scalablebulk/internal/metrics"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/stats"
+	"scalablebulk/internal/system"
 	"scalablebulk/internal/workload"
 )
 
@@ -65,6 +66,9 @@ type Session struct {
 	out     io.Writer
 	cache   map[runKey]*cacheEntry
 	journal *Journal
+	// warm holds the warm-state snapshots leased by the running sweeps
+	// (warmstate.go); empty whenever no SweepContext call is in flight.
+	warm map[warmKey]*warmSnapshot
 
 	// nRestored counts points satisfied from the journal (SweepOutcome
 	// reports per-sweep deltas).
@@ -163,10 +167,12 @@ func (s *Session) Journal() *Journal {
 // Safe for concurrent use; concurrent requests for the same point share one
 // run (single flight).
 func (s *Session) Result(app, protocol string, cores int) (*Result, error) {
-	return s.result(context.Background(), Point{app, protocol, cores})
+	return s.result(context.Background(), Point{app, protocol, cores}, nil)
 }
 
-func (s *Session) result(ctx context.Context, p Point) (*Result, error) {
+// result is Result with cancellation; warm, when non-nil, is the point's
+// lease on a shared warm-state snapshot, redeemed if the point runs.
+func (s *Session) result(ctx context.Context, p Point, warm *warmLease) (*Result, error) {
 	k := runKey{p.App, p.Protocol, p.Cores}
 	s.mu.Lock()
 	if s.cache == nil {
@@ -187,7 +193,7 @@ func (s *Session) result(ctx context.Context, p Point) (*Result, error) {
 				Cores: p.Cores, Cause: ctx.Err()}
 		}
 	}
-	e.res, e.err = s.run(ctx, k)
+	e.res, e.err = s.run(ctx, k, warm)
 	if e.err != nil && errors.Is(e.err, ErrAborted) {
 		// An abort is a withdrawn budget, not a result: drop the cache slot
 		// so a later call — e.g. a resumed sweep on this session — re-runs
@@ -245,7 +251,7 @@ func (s *Session) pointConfig(k runKey) Config {
 	return cfg
 }
 
-func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
+func (s *Session) run(ctx context.Context, k runKey, warm *warmLease) (res *Result, err error) {
 	p := Point{k.app, k.protocol, k.cores}
 	cfg := s.pointConfig(k)
 	prof, rerr := ResolvePointProfile(k.app, &cfg)
@@ -280,10 +286,11 @@ func (s *Session) run(ctx context.Context, k runKey) (res *Result, err error) {
 	if s.testPointHook != nil {
 		s.testPointHook(p)
 	}
+	w := s.takeWarm(warm, prof, cfg)
 	if s.Retry != nil {
-		res, err = RunWithRetry(ctx, prof, cfg, *s.Retry)
+		res, err = system.RunWithRetry(ctx, prof, cfg, *s.Retry, w)
 	} else {
-		res, err = RunContext(ctx, prof, cfg)
+		res, err = system.RunWarmContext(ctx, prof, cfg, w)
 	}
 	if err != nil {
 		return nil, err
@@ -400,7 +407,9 @@ type SweepProgress struct {
 // panicking point is isolated into a *CrashError (and a crash bundle when
 // CrashDir is set) while the remaining points keep running; every completed
 // point is recorded in the attached journal, so an interrupted sweep resumes
-// where it left off.
+// where it left off. Points that share a warm-up (the protocols of one
+// application and machine size) warm up once: the rest start from clones of
+// that warm state, which the sweep drops as soon as its last point took it.
 func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism int) *SweepOutcome {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -409,6 +418,12 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 		parallelism = len(points)
 	}
 	restored0 := s.nRestored.Load()
+	leases := s.leaseWarm(points)
+	defer func() {
+		for _, l := range leases {
+			s.releaseWarm(l)
+		}
+	}()
 	type slot struct {
 		ran bool
 		err error
@@ -479,7 +494,8 @@ func (s *Session) SweepContext(ctx context.Context, points []Point, parallelism 
 				if ctx.Err() != nil {
 					return // unclaimed points stay !ran
 				}
-				r, err := s.result(ctx, points[i])
+				r, err := s.result(ctx, points[i], leases[points[i]])
+				s.releaseWarm(leases[points[i]])
 				slots[i] = slot{ran: true, err: err}
 				if err != nil {
 					failed.Add(1)

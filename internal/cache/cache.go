@@ -9,6 +9,8 @@
 package cache
 
 import (
+	"slices"
+
 	"scalablebulk/internal/mem"
 	"scalablebulk/internal/sig"
 )
@@ -30,7 +32,8 @@ type way struct {
 
 // Cache is a set-associative, LRU, single-line-size cache model.
 type Cache struct {
-	sets   [][]way
+	ways   []way   // backing array of every set
+	sets   [][]way // ways carved into sets
 	mask   uint64
 	clock  uint64
 	lines  int
@@ -45,12 +48,27 @@ func New(cfg Config) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
+	ways := make([]way, nsets*cfg.Assoc)
+	return &Cache{ways: ways, sets: carve(ways, nsets), mask: uint64(nsets - 1)}
+}
+
+// carve splits ways into nsets equal sets.
+func carve(ways []way, nsets int) [][]way {
+	assoc := len(ways) / nsets
 	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Assoc)
 	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+		sets[i] = ways[i*assoc : (i+1)*assoc : (i+1)*assoc]
 	}
-	return &Cache{sets: sets, mask: uint64(nsets - 1)}
+	return sets
+}
+
+// Clone returns an independent copy: every way with its LRU stamp, the
+// LRU clock and the counters.
+func (c *Cache) Clone() *Cache {
+	d := *c
+	d.ways = slices.Clone(c.ways)
+	d.sets = carve(d.ways, len(c.sets))
+	return &d
 }
 
 func (c *Cache) set(l sig.Line) []way { return c.sets[uint64(l)&c.mask] }
@@ -187,6 +205,11 @@ type Hierarchy struct {
 // NewHierarchy builds the Table 2 hierarchy.
 func NewHierarchy(l1, l2 Config) *Hierarchy {
 	return &Hierarchy{L1: New(l1), L2: New(l2)}
+}
+
+// Clone returns an independent copy of both levels and the counters.
+func (h *Hierarchy) Clone() *Hierarchy {
+	return &Hierarchy{L1: h.L1.Clone(), L2: h.L2.Clone(), Writebacks: h.Writebacks}
 }
 
 // Access performs a load or store lookup. On L2 hit the line is refilled

@@ -48,6 +48,21 @@ type State struct {
 // NewState returns empty directory state.
 func NewState() *State { return &State{lines: make(map[sig.Line]*LineInfo)} }
 
+// Clone returns an independent deep copy of unpartitioned state, without
+// the OnApply observer. The copied entries share one allocation.
+func (s *State) Clone() *State {
+	if s.partOf != nil {
+		panic("dir: Clone of partitioned state")
+	}
+	c := &State{lines: make(map[sig.Line]*LineInfo, len(s.lines))}
+	infos := make([]LineInfo, 0, len(s.lines))
+	for l, li := range s.lines {
+		infos = append(infos, LineInfo{Sharers: li.Sharers.Clone(), Owner: li.Owner, Dirty: li.Dirty})
+		c.lines[l] = &infos[len(infos)-1]
+	}
+	return c
+}
+
 // Partition splits the storage into parts; partOf maps a line to the part
 // owning its home tile. Every entry is only ever created after the line's
 // page is mapped (reads reach the home they were routed to, commit write

@@ -6,6 +6,7 @@
 package mem
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -63,6 +64,12 @@ func NewMapper(dirs int) *Mapper {
 		panic("mem: need at least one directory module")
 	}
 	return &Mapper{dirs: dirs, pages: make(map[Page]int)}
+}
+
+// Clone returns an independent copy of an unlocked mapper's page table.
+// Locked-mode state is not carried over: a clone starts unlocked.
+func (m *Mapper) Clone() *Mapper {
+	return &Mapper{dirs: m.dirs, pages: maps.Clone(m.pages), next: m.next}
 }
 
 // Dirs returns the number of directory modules.

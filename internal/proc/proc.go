@@ -125,14 +125,15 @@ type pendingRead struct {
 	epoch    uint64
 }
 
-// New builds a processor. l1 and l2 size the private hierarchy (Table 2).
-func New(env *dir.Env, proto dir.Protocol, gen Generator, id, target int, l1, l2 cache.Config, cfg Config) *Proc {
+// New builds a processor over its private cache hierarchy (Table 2), which
+// may already be warm.
+func New(env *dir.Env, proto dir.Protocol, gen Generator, id, target int, hier *cache.Hierarchy, cfg Config) *Proc {
 	if cfg.MaxActiveChunks == 0 {
 		cfg.MaxActiveChunks = 2
 	}
 	p := &Proc{
 		ID: id, env: env, proto: proto, gen: gen, cfg: cfg,
-		hier:   cache.NewHierarchy(l1, l2),
+		hier:   hier,
 		target: target,
 		rng:    rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
 	}

@@ -54,9 +54,9 @@ func rig(t *testing.T, cfg Config) (*Proc, *scriptProto, *event.Engine) {
 		Coll: stats.New(), DirLookup: 2, MemLatency: 300,
 	}
 	fp := &scriptProto{env: env}
-	p := New(env, fp, fixedGen{accesses: 8}, 0, 4,
+	p := New(env, fp, fixedGen{accesses: 8}, 0, 4, cache.NewHierarchy(
 		cache.Config{SizeBytes: 4 << 10, Assoc: 4},
-		cache.Config{SizeBytes: 32 << 10, Assoc: 8}, cfg)
+		cache.Config{SizeBytes: 32 << 10, Assoc: 8}), cfg)
 	env.Cores = []dir.Core{p, nil, nil, nil}
 	for i := 0; i < 4; i++ {
 		node := i

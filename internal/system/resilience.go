@@ -164,8 +164,10 @@ func firstLine(s string) string {
 // RunWithRetry runs prof under cfg, retrying transient MaxCycles aborts
 // (see Retryable) with an escalating cycle budget per pol. Every attempt is
 // recorded; a successful result carries the history in Result.Attempts, and
-// a final failure returns a *RetryError wrapping the last error.
-func RunWithRetry(ctx context.Context, prof workload.Profile, cfg Config, pol RetryPolicy) (*Result, error) {
+// a final failure returns a *RetryError wrapping the last error. w, when
+// non-nil, is the first attempt's warm state (see RunWarmContext); later
+// attempts warm up fresh.
+func RunWithRetry(ctx context.Context, prof workload.Profile, cfg Config, pol RetryPolicy, w *Warm) (*Result, error) {
 	pol = pol.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed*0x9e3779b9 + int64(cfg.Cores)))
 	budget := cfg.MaxCycles
@@ -174,7 +176,8 @@ func RunWithRetry(ctx context.Context, prof workload.Profile, cfg Config, pol Re
 	for n := 1; ; n++ {
 		run := cfg
 		run.MaxCycles = budget
-		res, err := RunContext(ctx, prof, run)
+		res, err := RunWarmContext(ctx, prof, run, w)
+		w = nil
 		rec := RunAttempt{Attempt: n, MaxCycles: budget, BackoffMS: backedOff.Milliseconds()}
 		if err == nil {
 			rec.Outcome = "ok"

@@ -155,7 +155,7 @@ func TestRetryEscalationConverges(t *testing.T) {
 	var slept []time.Duration
 	pol := RetryPolicy{MaxAttempts: 4, BudgetFactor: 4,
 		Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	res, err := RunWithRetry(context.Background(), prof, cfg, pol)
+	res, err := RunWithRetry(context.Background(), prof, cfg, pol, nil)
 	if err != nil {
 		t.Fatalf("retry did not converge: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestRetryRefusesFaultFreeDeadlock(t *testing.T) {
 	cfg := quickCfg(8, ProtoScalableBulk)
 	cfg.MaxCycles = 1000
 	pol := RetryPolicy{Sleep: func(time.Duration) {}}
-	_, err := RunWithRetry(context.Background(), mustApp(t, "Radix"), cfg, pol)
+	_, err := RunWithRetry(context.Background(), mustApp(t, "Radix"), cfg, pol, nil)
 	var re *RetryError
 	if !errors.As(err, &re) {
 		t.Fatalf("expected *RetryError, got %v", err)

@@ -19,7 +19,6 @@ import (
 	"scalablebulk/internal/dir"
 	"scalablebulk/internal/event"
 	"scalablebulk/internal/fault"
-	"scalablebulk/internal/mem"
 	"scalablebulk/internal/mesh"
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/proc"
@@ -277,9 +276,10 @@ type Result struct {
 
 	Coll    *stats.Collector
 	Traffic mesh.Stats
-	// Proto exposes the protocol engine for protocol-specific diagnostics
-	// (e.g. the failure-cause counters behind Engine.Stats).
-	Proto protocol.Engine
+	// ProtoStats is the protocol engine's diagnostic counters at the end of
+	// the run (Engine.Stats, e.g. failure causes). The result holds no
+	// reference to the machine, so cached results do not keep it alive.
+	ProtoStats map[string]uint64
 
 	// Faults holds the injector's counters when Config.Faults was enabled.
 	Faults *fault.Stats
@@ -375,12 +375,19 @@ func (m *Machine) Now() event.Time {
 	return m.Eng.Now()
 }
 
-// Build assembles the machine for prof under cfg: network, directory
-// environment, tracer, fault injector, invariant checker, protocol engine,
-// workload and processors, then runs cache/directory warm-up. The machine is
-// returned stopped — no processor has issued its first chunk — so a caller
-// may install observers (e.g. a mesh.Scheduler) before Start.
+// Build assembles the machine for prof under cfg: workload, cache/directory
+// warm-up, network, directory environment, tracer, fault injector, invariant
+// checker, protocol engine and processors. The machine is returned stopped —
+// no processor has issued its first chunk — so a caller may install
+// observers (e.g. a mesh.Scheduler) before Start.
 func Build(prof workload.Profile, cfg Config) (*Machine, error) {
+	return build(prof, cfg, nil)
+}
+
+// build is Build with the warm state supplied: w, when non-nil, must be the
+// warm-up of prof under cfg (NewWarm or a Clone of it) and is consumed; nil
+// warms up in place.
+func build(prof workload.Profile, cfg Config, w *Warm) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("system: need at least one core")
 	}
@@ -402,6 +409,21 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 			return nil, fmt.Errorf("system: sharded execution does not support the flight recorder; run with Shards=0")
 		}
 	}
+	desc, ok := protocol.Lookup(cfg.Protocol)
+	if !ok {
+		return nil, fmt.Errorf("system: unknown protocol %q (registered: %s)",
+			cfg.Protocol, strings.Join(protocol.Names(), ", "))
+	}
+	gen, err := newSource(prof, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if w == nil {
+		w = warmUp(gen, cfg)
+	} else if len(w.caches) != cfg.Cores {
+		return nil, fmt.Errorf("system: warm state is for %d cores, not %d", len(w.caches), cfg.Cores)
+	}
+
 	var (
 		eng   *event.Engine
 		se    *event.ShardedEngine
@@ -420,7 +442,7 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 	})
 	m.Net = net
 	env := &dir.Env{
-		Eng: sched, Net: net, Map: mem.NewMapper(cfg.Cores), State: dir.NewState(),
+		Eng: sched, Net: net, Map: w.pages, State: w.dir,
 		Coll: stats.New(), DirLookup: cfg.DirLookup, MemLatency: cfg.MemLatency,
 	}
 	m.Env = env
@@ -428,7 +450,8 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 	// Sharded wiring: tiles map to shards in contiguous blocks, the network
 	// routes deliveries onto the owning shard's calendar, the page mapper
 	// goes thread-safe with per-round first-touch hazard detection, and the
-	// directory state splits into per-shard parts.
+	// directory state splits into per-shard parts (the warm entries migrate
+	// to the part of their first-touch home).
 	var shardOf []int
 	if sharded {
 		shardOf = make([]int, cfg.Cores)
@@ -500,11 +523,6 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 	pcfg.Seed = cfg.Seed
 	pcfg.OnCommit = cfg.OnCommit
 	pcfg.OnDone = func(int) { m.done++ }
-	desc, ok := protocol.Lookup(cfg.Protocol)
-	if !ok {
-		return nil, fmt.Errorf("system: unknown protocol %q (registered: %s)",
-			cfg.Protocol, strings.Join(protocol.Names(), ", "))
-	}
 	opts := cfg.ProtoOptions
 	if opts == nil {
 		opts = desc.DefaultOptions()
@@ -522,22 +540,6 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 		}
 	}
 
-	factory := cfg.WorkloadFactory
-	if factory == nil {
-		factory, err = workload.Resolve(cfg.Workload)
-		if err != nil {
-			return nil, fmt.Errorf("system: %w", err)
-		}
-	}
-	gen, err := factory(prof, cfg.Cores, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("system: %w", err)
-	}
-	if v, ok := gen.(workload.Validator); ok {
-		if err := v.Validate(cfg.Cores, cfg.ChunksPerCore, cfg.WarmupChunks); err != nil {
-			return nil, fmt.Errorf("system: %w", err)
-		}
-	}
 	// Per-tile environments: on serial runs every component shares env; on
 	// sharded runs each shard's tiles get a copy whose Sched/Port land
 	// events and sends on the owning shard. The copies are made after all
@@ -563,7 +565,7 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 	}
 	procs := make([]*proc.Proc, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
-		procs[i] = proc.New(tileEnv(i), proto, gen, i, cfg.ChunksPerCore, cfg.L1, cfg.L2, pcfg)
+		procs[i] = proc.New(tileEnv(i), proto, gen, i, cfg.ChunksPerCore, w.caches[i], pcfg)
 		env.Cores[i] = procs[i]
 		if procs[i].Done() {
 			m.done++ // born finished (zero chunk target)
@@ -585,26 +587,6 @@ func Build(prof workload.Profile, cfg Config) (*Machine, error) {
 				procs[node].Handle(mm)
 			}
 		})
-	}
-
-	// Warmup: pre-touch each thread's working set. Round-robin across
-	// cores so shared pages get their first-touch homes the same way the
-	// application's initialization phase would assign them.
-	for w := 0; w < cfg.WarmupChunks; w++ {
-		for i := 0; i < cfg.Cores; i++ {
-			ck := gen.WarmupChunk(i, w)
-			for _, a := range ck.Accesses {
-				env.Map.Home(a.Line, i)
-				procs[i].Hierarchy().Fill(a.Line, false)
-				// Register directory sharers only for the recent working
-				// set (the tail of warmup): real directories track live
-				// cached copies, and unbounded registration would make
-				// every commit's invalidation fan out machine-wide.
-				if w >= cfg.WarmupChunks-8 {
-					env.State.AddSharer(a.Line, i)
-				}
-			}
-		}
 	}
 	return m, nil
 }
@@ -697,7 +679,7 @@ func (m *Machine) Finish() (*Result, error) {
 
 	res := &Result{
 		App: m.prof.Name, Protocol: cfg.Protocol, Cores: cfg.Cores,
-		Coll: m.Env.Coll, Traffic: m.Net.Stats(), Proto: m.Proto,
+		Coll: m.Env.Coll, Traffic: m.Net.Stats(), ProtoStats: m.Proto.Stats(),
 		Checked: chk != nil,
 	}
 	if m.Shard != nil {
@@ -742,6 +724,15 @@ func (m *Machine) Finish() (*Result, error) {
 // escaping the simulation is re-panicked wrapped in *RunPanic carrying the
 // machine state, for sweep workers to recover into crash bundles.
 func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result, error) {
+	return RunWarmContext(ctx, prof, cfg, nil)
+}
+
+// RunWarmContext is RunContext on a machine that starts from the warm state
+// w instead of warming up itself. w must be the warm-up of prof under cfg
+// (NewWarm, or a Clone of it, for a config that differs at most in what
+// warm-up does not read, such as the protocol) and is consumed by the run;
+// nil warms up fresh.
+func RunWarmContext(ctx context.Context, prof workload.Profile, cfg Config, w *Warm) (*Result, error) {
 	var m *Machine
 	defer func() {
 		if r := recover(); r != nil {
@@ -757,7 +748,7 @@ func RunContext(ctx context.Context, prof workload.Profile, cfg Config) (*Result
 			})
 		}
 	}()
-	m, err := Build(prof, cfg)
+	m, err := build(prof, cfg, w)
 	if err != nil {
 		return nil, err
 	}

@@ -200,9 +200,10 @@ func (e *CrashError) Error() string {
 }
 
 // resultJSON is the restorable subset of Result persisted in the journal:
-// every field any figure reduction or ResultFingerprint reads. The live
-// protocol engine (Result.Proto) is run-scoped and not persisted — restored
-// results render figures, they don't expose engine diagnostics.
+// every field any figure reduction or ResultFingerprint reads. The protocol
+// engine's counters (Result.ProtoStats) are run-scoped diagnostics and not
+// persisted — restored results render figures, they don't expose engine
+// diagnostics.
 type resultJSON struct {
 	App              string            `json:"app"`
 	Protocol         string            `json:"protocol"`
