@@ -65,9 +65,10 @@ type figureResult struct {
 }
 
 // scalingResult is one (cores, shards) cell of the sharded-engine scaling
-// layer. Speedup is wall(shards=1) / wall(this cell) at the same core count,
-// so the 1-shard row is always 1.0 and >1.0 means the parallel engine beat
-// its own single-shard overhead baseline on this host.
+// layer. Speedup is wall(serial) / wall(this cell) at the same core count,
+// where serial is the serial (`Shards = 0`) cell, so the serial row is
+// always 1.0 and >1.0 means the sharded engine beat the serial engine on
+// this host.
 type scalingResult struct {
 	App           string  `json:"app"`
 	Cores         int     `json:"cores"`

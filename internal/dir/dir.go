@@ -265,7 +265,14 @@ type ReadPath struct {
 	// parallel read-path rounds of a sharded run stay lock-free; the system
 	// layer folds it into Collector.ReadNacks when the run finishes.
 	Nacks uint64
+
+	// sendFn is send bound once, so a deferred reply is scheduled without a
+	// closure allocation.
+	sendFn func(any)
 }
+
+// send is the deferred-reply event: it injects a reply serve built up front.
+func (rp *ReadPath) send(arg any) { rp.Env.Net.Send(arg.(*msg.Msg)) }
 
 // HandleDir processes read-path messages addressed to a directory module.
 // It reports whether the message was a read-path message.
@@ -289,12 +296,18 @@ func (rp *ReadPath) HandleDir(node int, m *msg.Msg) bool {
 
 // serve handles a ReadReq at its home module. The request is a Transient
 // message the network recycles as soon as this handler returns, so every
-// field the deferred replies need is copied into locals first.
+// field a deferred reply needs is copied into it (or into locals) first. A
+// deferred reply is built now and sent when its latency has elapsed:
+// messages carry no identity, so taking it from the freelist early changes
+// nothing observable.
 func (rp *ReadPath) serve(node int, m *msg.Msg) {
 	env := rp.Env
 	requester := m.Src
 	l := m.Line
 	tag := m.Tag
+	if rp.sendFn == nil {
+		rp.sendFn = rp.send
+	}
 
 	if rp.Proto != nil && rp.Proto.ReadBlocked(node, l) {
 		rp.Nacks++
@@ -314,27 +327,21 @@ func (rp *ReadPath) serve(node int, m *msg.Msg) {
 		li.Dirty = false
 		li.Owner = -1
 		li.Sharers.Add(requester)
-		env.Eng.After(env.DirLookup, func() {
-			r := env.Net.NewMsg()
-			r.Kind, r.Src, r.Dst = msg.ReadDirtyFwd, node, owner
-			r.Tag, r.Line = msg.CTag{Proc: requester}, l
-			env.Net.Send(r)
-		})
+		r := env.Net.NewMsg()
+		r.Kind, r.Src, r.Dst = msg.ReadDirtyFwd, node, owner
+		r.Tag, r.Line = msg.CTag{Proc: requester}, l
+		env.Eng.AfterArg(env.DirLookup, rp.sendFn, r)
 	case li != nil && !li.Sharers.Empty():
 		// Served cache-to-cache from a shared copy (RemoteShRd).
 		li.Sharers.Add(requester)
-		env.Eng.After(env.DirLookup, func() {
-			r := env.Net.NewMsg()
-			r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadShReply, node, requester, tag, l
-			env.Net.Send(r)
-		})
+		r := env.Net.NewMsg()
+		r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadShReply, node, requester, tag, l
+		env.Eng.AfterArg(env.DirLookup, rp.sendFn, r)
 	default:
 		// Served from memory (MemRd).
 		env.State.AddSharer(l, requester)
-		env.Eng.After(env.DirLookup+env.MemLatency, func() {
-			r := env.Net.NewMsg()
-			r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadMemReply, node, requester, tag, l
-			env.Net.Send(r)
-		})
+		r := env.Net.NewMsg()
+		r.Kind, r.Src, r.Dst, r.Tag, r.Line = msg.ReadMemReply, node, requester, tag, l
+		env.Eng.AfterArg(env.DirLookup+env.MemLatency, rp.sendFn, r)
 	}
 }

@@ -199,3 +199,41 @@ func TestSharersOfAllIgnoresHomes(t *testing.T) {
 		t.Fatal("exclusion failed")
 	}
 }
+
+// TestReadPathServeAllocatesNothing guards the read path's hot scheduling
+// sites: once the mesh freelist is primed and the line's directory entry
+// exists, serving a read allocates nothing in any of serve's three branches.
+func TestReadPathServeAllocatesNothing(t *testing.T) {
+	env, net, eng := testEnv(t, 4)
+	rp := &ReadPath{Env: env}
+	net.Register(0, func(*msg.Msg) {})
+	net.Register(2, func(m *msg.Msg) { rp.HandleDir(2, m) }) // dirty owner tile
+	env.Map.Home(10, 1)
+	li := env.State.Touch(10)
+	// Give every calendar slot its backing array: two laps of the 4096-cycle
+	// ring, one event per cycle.
+	for at := event.Time(0); at < 8192; at++ {
+		eng.At(at, func() {})
+	}
+	eng.Run()
+
+	req := &msg.Msg{Kind: msg.ReadReq, Src: 0, Dst: 1, Line: 10}
+	for _, c := range []struct {
+		name  string
+		setup func()
+	}{
+		{"RemoteDirtyRd", func() { li.Sharers.Clear(); li.Dirty, li.Owner = true, 2 }},
+		{"RemoteShRd", func() { li.Sharers.Clear(); li.Sharers.Add(3); li.Dirty, li.Owner = false, -1 }},
+		{"MemRd", func() { li.Sharers.Clear(); li.Dirty, li.Owner = false, -1 }},
+	} {
+		run := func() {
+			c.setup()
+			rp.serve(1, req)
+			eng.Run()
+		}
+		run() // primes the mesh freelist with this branch's messages
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s: serve allocates %.1f objects per read, want 0", c.name, n)
+		}
+	}
+}

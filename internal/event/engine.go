@@ -13,9 +13,13 @@
 // horizon the machine model actually generates: almost every event lands
 // within a few hundred cycles of now (link hops at +7, directory lookups at
 // +2, memory at +300, commit retries under ~2k), so the near future is a
-// ring of per-cycle buckets where push and pop are O(1), while the rare
-// long-horizon events (the +200k commit watchdogs) wait in a small overflow
-// heap and migrate into the ring as the window slides over them. The old
+// ring of per-cycle buckets, while the rare long-horizon events (the +200k
+// commit watchdogs) wait in a small overflow heap and migrate into the ring
+// as the window slides over them. Push is O(1). Pop skips the empty cycles
+// between events through an occupancy bitmap over the ring, one bit per
+// bucket, at a cost of one word test per 64 empty cycles, so a sparse
+// schedule (a 1-core run fires an event every ~30 cycles) pays per event
+// rather than per simulated cycle. The old
 // container/heap implementation is preserved as HeapEngine (see heap.go) and
 // the two are cross-checked for identical firing order by the equivalence
 // tests in this package.
@@ -23,6 +27,7 @@ package event
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is the simulation clock, measured in processor cycles.
@@ -65,6 +70,7 @@ const (
 	windowBits = 12
 	window     = Time(1) << windowBits
 	windowMask = window - 1
+	occWords   = window / 64 // words of the ring's occupancy bitmap
 )
 
 type item struct {
@@ -145,6 +151,12 @@ type Engine struct {
 	cursor  Time
 	near    int // items in the ring, cancelled included
 
+	// occ has bit s set whenever buckets[s] holds an item (cancelled or
+	// not). A set bit may be stale: the bucket has since been drained. The
+	// scan clears it when it finds the bucket empty, and it lets the scan
+	// jump over runs of empty cycles instead of visiting each one.
+	occ [occWords]uint64
+
 	over overflow // long-horizon items, cancelled included
 
 	pending int // near + len(over)
@@ -223,6 +235,7 @@ func (e *Engine) schedule(t Time) *item {
 	e.seq++
 	if t < e.cursor+window {
 		e.buckets[t&windowMask].push(it)
+		e.mark(t)
 		e.near++
 	} else {
 		e.over.push(it)
@@ -278,6 +291,7 @@ func (e *Engine) put(t Time, key uint64, global bool, fn Handler, afn func(any),
 		b.items = append(b.items, nil)
 		copy(b.items[pos+1:], b.items[pos:])
 		b.items[pos] = it
+		e.mark(t)
 		e.near++
 	} else {
 		e.over.push(it)
@@ -335,16 +349,59 @@ func (e *Engine) popDue(t Time, buf []*item) []*item {
 	}
 	if b.head == len(b.items) {
 		b.reset()
+		e.unmark(t)
 	}
 	return buf
+}
+
+// mark sets the occupancy bit of t's ring slot.
+func (e *Engine) mark(t Time) {
+	s := t & windowMask
+	e.occ[s>>6] |= 1 << (s & 63)
+}
+
+// unmark clears the occupancy bit of t's ring slot; its bucket must be empty.
+func (e *Engine) unmark(t Time) {
+	s := t & windowMask
+	e.occ[s>>6] &^= 1 << (s & 63)
+}
+
+// occupied returns the earliest time in [from, from+window) whose ring slot
+// has its occupancy bit set, or from+window when no bit is set. It tests a
+// word of 64 slots at a time, wrapping once around the ring.
+func (e *Engine) occupied(from Time) Time {
+	s := from & windowMask
+	w := s >> 6
+	if word := e.occ[w] >> (s & 63); word != 0 {
+		return from + Time(bits.TrailingZeros64(word))
+	}
+	dist := 64 - s&63
+	for i := Time(1); i <= occWords; i++ {
+		// On the last pass w itself comes round again: its bits at and
+		// above s are zero, so any hit lies below s, in the last 64 cycles
+		// before from+window.
+		if word := e.occ[(w+i)%occWords]; word != 0 {
+			return from + dist + Time(bits.TrailingZeros64(word))
+		}
+		dist += 64
+	}
+	return from + window
 }
 
 // migrate moves overflow items whose time has entered the ring window into
 // their buckets. Ring buckets are FIFO by sequence number; an item that
 // waited in the overflow heap may carry an older sequence number than
 // same-cycle items scheduled directly into the ring, so it is merged into
-// sequence position rather than appended.
+// sequence position rather than appended. The common case, nothing due, is
+// a single inlined comparison.
 func (e *Engine) migrate() {
+	if len(e.over.h) == 0 || e.over.h[0].at >= e.cursor+window {
+		return
+	}
+	e.migrateDue()
+}
+
+func (e *Engine) migrateDue() {
 	for !e.over.empty() && e.over.min().at < e.cursor+window {
 		it := e.over.pop()
 		if it.dead {
@@ -360,6 +417,7 @@ func (e *Engine) migrate() {
 		b.items = append(b.items, nil)
 		copy(b.items[pos+1:], b.items[pos:])
 		b.items[pos] = it
+		e.mark(it.at)
 		e.near++
 	}
 }
@@ -382,6 +440,10 @@ func (e *Engine) next() *item {
 			e.cursor = e.over.min().at
 			continue
 		}
+		// Jump over empty cycles to the first occupied slot. Overflow items
+		// all lie beyond the window, so none can precede it; those the jump
+		// brings into the window migrate on the next pass.
+		e.cursor = e.occupied(e.cursor)
 		b := &e.buckets[e.cursor&windowMask]
 		for b.head < len(b.items) {
 			it := b.items[b.head]
@@ -395,6 +457,7 @@ func (e *Engine) next() *item {
 			e.release(it)
 		}
 		b.reset()
+		e.unmark(e.cursor)
 		e.cursor++
 	}
 	return nil
@@ -459,7 +522,11 @@ func (e *Engine) peek() (Time, bool) {
 		best = e.over.min().at
 		found = true
 	}
-	for c := e.cursor; e.near > 0 && c < e.cursor+window; c++ {
+	end := e.cursor + window
+	for c := e.cursor; e.near > 0; c++ {
+		if c = e.occupied(c); c >= end {
+			break
+		}
 		b := &e.buckets[c&windowMask]
 		for b.head < len(b.items) && b.items[b.head].dead {
 			it := b.items[b.head]
@@ -476,6 +543,8 @@ func (e *Engine) peek() (Time, bool) {
 			}
 			break
 		}
+		b.reset()
+		e.unmark(c)
 	}
 	return best, found
 }

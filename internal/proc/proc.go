@@ -97,6 +97,7 @@ type Proc struct {
 	stallStart event.Time
 
 	pendingRead *pendingRead
+	issueFn     func(any)  // issueRead bound once: a blocking miss allocates no closure
 	lastMiss    sig.Line   // previous miss line, for the spatial prefetcher
 	deferred    []*msg.Msg // conservative-mode buffered invalidations
 	draining    bool       // consuming deferred messages: do not re-defer
@@ -137,6 +138,7 @@ func New(env *dir.Env, proto dir.Protocol, gen Generator, id, target int, hier *
 		target: target,
 		rng:    rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
 	}
+	p.issueFn = p.issueRead
 	if target <= 0 {
 		p.done = true // nothing to do: born finished
 	}
@@ -290,8 +292,7 @@ func (p *Proc) step(epoch uint64) {
 				p.hier.Fill(a.Line, a.Write)
 				continue
 			}
-			acc := a
-			p.env.Eng.After(local, func() { p.issueRead(acc, epoch) })
+			p.env.Eng.AfterArg(local, p.issueFn, &pendingRead{acc: a, epoch: epoch})
 			return
 		}
 	}
@@ -302,13 +303,16 @@ func (p *Proc) step(epoch uint64) {
 	p.env.Eng.AfterGlobal(local, func() { p.finishExecution(epoch) })
 }
 
-// issueRead sends the miss to the line's home directory.
-func (p *Proc) issueRead(a chunk.Access, epoch uint64) {
-	if epoch != p.execEpoch {
+// issueRead sends a blocking miss, a *pendingRead that step scheduled, to
+// the line's home directory.
+func (p *Proc) issueRead(arg any) {
+	pr := arg.(*pendingRead)
+	if pr.epoch != p.execEpoch {
 		return
 	}
-	p.pendingRead = &pendingRead{acc: a, issuedAt: p.env.Eng.Now(), epoch: epoch}
-	p.sendRead(a.Line)
+	pr.issuedAt = p.env.Eng.Now()
+	p.pendingRead = pr
+	p.sendRead(pr.acc.Line)
 }
 
 func (p *Proc) sendRead(l sig.Line) {
