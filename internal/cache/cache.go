@@ -21,19 +21,21 @@ type Config struct {
 	Assoc     int
 }
 
-// Line states.
-type way struct {
-	line  sig.Line
-	valid bool
-	dirty bool
-	spec  bool
-	lru   uint64
-}
+// Way state bits.
+const (
+	stValid uint8 = 1 << iota
+	stDirty
+	stSpec
+)
 
-// Cache is a set-associative, LRU, single-line-size cache model.
+// Cache is a set-associative, LRU, single-line-size cache model. Its ways
+// live in three parallel arrays indexed set*assoc + i, so a lookup scans
+// one packed run of tags and loads no per-set header (DESIGN.md §19).
 type Cache struct {
-	ways   []way   // backing array of every set
-	sets   [][]way // ways carved into sets
+	tag    []sig.Line
+	state  []uint8 // stValid|stDirty|stSpec
+	lru    []uint64
+	assoc  int
 	mask   uint64
 	clock  uint64
 	lines  int
@@ -48,39 +50,33 @@ func New(cfg Config) *Cache {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	ways := make([]way, nsets*cfg.Assoc)
-	return &Cache{ways: ways, sets: carve(ways, nsets), mask: uint64(nsets - 1)}
-}
-
-// carve splits ways into nsets equal sets.
-func carve(ways []way, nsets int) [][]way {
-	assoc := len(ways) / nsets
-	sets := make([][]way, nsets)
-	for i := range sets {
-		sets[i] = ways[i*assoc : (i+1)*assoc : (i+1)*assoc]
-	}
-	return sets
+	n := nsets * cfg.Assoc
+	return &Cache{tag: make([]sig.Line, n), state: make([]uint8, n), lru: make([]uint64, n),
+		assoc: cfg.Assoc, mask: uint64(nsets - 1)}
 }
 
 // Clone returns an independent copy: every way with its LRU stamp, the
 // LRU clock and the counters.
 func (c *Cache) Clone() *Cache {
 	d := *c
-	d.ways = slices.Clone(c.ways)
-	d.sets = carve(d.ways, len(c.sets))
+	d.tag, d.state, d.lru = slices.Clone(c.tag), slices.Clone(c.state), slices.Clone(c.lru)
 	return &d
 }
 
-func (c *Cache) set(l sig.Line) []way { return c.sets[uint64(l)&c.mask] }
+// base returns the index of way 0 of l's set.
+func (c *Cache) base(l sig.Line) int { return int(uint64(l)&c.mask) * c.assoc }
 
-func (c *Cache) find(l sig.Line) *way {
-	s := c.set(l)
-	for i := range s {
-		if s[i].valid && s[i].line == l {
-			return &s[i]
+// find returns the index of the valid way holding l, or -1.
+func (c *Cache) find(l sig.Line) int {
+	b := c.base(l)
+	tags := c.tag[b : b+c.assoc]
+	st := c.state[b : b+len(tags)]
+	for i, t := range tags {
+		if t == l && st[i]&stValid != 0 {
+			return b + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Lookup reports whether the line is present, updating LRU state and hit
@@ -88,11 +84,10 @@ func (c *Cache) find(l sig.Line) *way {
 // and speculative (chunk writes are speculative until commit).
 func (c *Cache) Lookup(l sig.Line, write bool) bool {
 	c.clock++
-	if w := c.find(l); w != nil {
-		w.lru = c.clock
+	if w := c.find(l); w >= 0 {
+		c.lru[w] = c.clock
 		if write {
-			w.dirty = true
-			w.spec = true
+			c.state[w] |= stDirty | stSpec
 		}
 		c.hits++
 		return true
@@ -102,42 +97,51 @@ func (c *Cache) Lookup(l sig.Line, write bool) bool {
 }
 
 // Contains reports presence without perturbing LRU or counters.
-func (c *Cache) Contains(l sig.Line) bool { return c.find(l) != nil }
+func (c *Cache) Contains(l sig.Line) bool { return c.find(l) >= 0 }
 
 // Fill inserts a line, evicting the LRU way if needed. It returns the
 // victim line and whether the victim was dirty (needing writeback).
 func (c *Cache) Fill(l sig.Line, dirty, spec bool) (victim sig.Line, victimDirty, evicted bool) {
 	c.clock++
-	if w := c.find(l); w != nil {
-		w.lru = c.clock
-		w.dirty = w.dirty || dirty
-		w.spec = w.spec || spec
+	bits := stValid
+	if dirty {
+		bits |= stDirty
+	}
+	if spec {
+		bits |= stSpec
+	}
+	if w := c.find(l); w >= 0 {
+		c.lru[w] = c.clock
+		c.state[w] |= bits
 		return 0, false, false
 	}
-	s := c.set(l)
+	b := c.base(l)
+	st := c.state[b : b+c.assoc]
+	lru := c.lru[b : b+len(st)]
 	vi := 0
-	for i := range s {
-		if !s[i].valid {
+	for i := range st {
+		if st[i]&stValid == 0 {
 			vi = i
 			break
 		}
-		if s[i].lru < s[vi].lru {
+		if lru[i] < lru[vi] {
 			vi = i
 		}
 	}
-	v := &s[vi]
-	victim, victimDirty, evicted = v.line, v.dirty && v.valid, v.valid
-	if !v.valid {
+	w := b + vi
+	victim, evicted = c.tag[w], c.state[w]&stValid != 0
+	victimDirty = evicted && c.state[w]&stDirty != 0
+	if !evicted {
 		c.lines++
 	}
-	*v = way{line: l, valid: true, dirty: dirty, spec: spec, lru: c.clock}
+	c.tag[w], c.state[w], c.lru[w] = l, bits, c.clock
 	return victim, victimDirty, evicted
 }
 
 // Invalidate drops a line; it reports whether the line was present.
 func (c *Cache) Invalidate(l sig.Line) bool {
-	if w := c.find(l); w != nil {
-		w.valid = false
+	if w := c.find(l); w >= 0 {
+		c.state[w] = 0
 		c.lines--
 		return true
 	}
@@ -147,17 +151,16 @@ func (c *Cache) Invalidate(l sig.Line) bool {
 // CommitSpec turns the speculative bit of a written line into an ordinary
 // dirty bit (chunk commit). Missing lines (already evicted) are fine.
 func (c *Cache) CommitSpec(l sig.Line) {
-	if w := c.find(l); w != nil && w.spec {
-		w.spec = false
-		w.dirty = true
+	if w := c.find(l); w >= 0 && c.state[w]&stSpec != 0 {
+		c.state[w] = c.state[w]&^stSpec | stDirty
 	}
 }
 
 // SquashSpec invalidates a speculatively written line (chunk squash), so a
 // restarted chunk refetches clean data. Reports whether it was present.
 func (c *Cache) SquashSpec(l sig.Line) bool {
-	if w := c.find(l); w != nil && w.spec {
-		w.valid = false
+	if w := c.find(l); w >= 0 && c.state[w]&stSpec != 0 {
+		c.state[w] = 0
 		c.lines--
 		return true
 	}
@@ -167,7 +170,7 @@ func (c *Cache) SquashSpec(l sig.Line) bool {
 // IsDirty reports whether the line is present and dirty.
 func (c *Cache) IsDirty(l sig.Line) bool {
 	w := c.find(l)
-	return w != nil && w.dirty
+	return w >= 0 && c.state[w]&stDirty != 0
 }
 
 // Len returns the number of valid lines.
@@ -219,7 +222,7 @@ func (h *Hierarchy) Access(l sig.Line, write bool) Level {
 	if h.L1.Lookup(l, write) {
 		if write {
 			// Write-through: the L2 copy is updated too.
-			h.L2.Fill(l, true, true)
+			h.fillL2(l, true)
 		}
 		return L1Hit
 	}
@@ -232,17 +235,21 @@ func (h *Hierarchy) Access(l sig.Line, write bool) Level {
 
 // Fill installs a line fetched from the network into both levels.
 func (h *Hierarchy) Fill(l sig.Line, write bool) {
-	if _, wb, ev := h.L2.Fill(l, write, write); ev && wb {
-		h.Writebacks++
-	}
+	h.fillL2(l, write)
 	h.fillL1(l, write)
 }
 
-func (h *Hierarchy) fillL1(l sig.Line, write bool) {
-	if v, _, ev := h.L1.Fill(l, write, write); ev {
-		_ = v // write-through L1: no writeback on eviction
+// fillL2 fills the write-back L2. The L2 is not inclusive of the L1, so
+// any fill, a write-through one included, can evict a dirty line: each
+// such victim counts as a writeback.
+func (h *Hierarchy) fillL2(l sig.Line, write bool) {
+	if _, wb, _ := h.L2.Fill(l, write, write); wb {
+		h.Writebacks++
 	}
 }
+
+// fillL1 fills the write-through L1, whose victims need no writeback.
+func (h *Hierarchy) fillL1(l sig.Line, write bool) { h.L1.Fill(l, write, write) }
 
 // Invalidate drops a line from both levels (bulk invalidation hit).
 // It reports whether any level held the line.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -229,5 +230,76 @@ func TestPropertyLRUOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteThroughWritebackCounted: the L2 is not inclusive, so an L1 write
+// hit's write-through fill can evict a dirty L2 line, which must count as a
+// writeback like any other dirty L2 eviction.
+func TestWriteThroughWritebackCounted(t *testing.T) {
+	// L1: 2 sets × 4 ways; L2: 32 sets × 1 way. Lines 0 and 32 share both sets.
+	h := NewHierarchy(Config{SizeBytes: 256, Assoc: 4}, Config{SizeBytes: 1024, Assoc: 1})
+	h.Fill(0, false)
+	h.Fill(32, true) // evicts clean 0 from the L2 only
+	if h.Writebacks != 0 || !h.L1.Contains(0) || h.L2.Contains(0) {
+		t.Fatalf("setup: writebacks %d, L1 has 0: %v, L2 has 0: %v", h.Writebacks, h.L1.Contains(0), h.L2.Contains(0))
+	}
+	if h.Access(0, true) != L1Hit {
+		t.Fatal("expected an L1 write hit")
+	}
+	if h.Writebacks != 1 {
+		t.Fatalf("Writebacks = %d after the write-through fill evicted dirty line 32, want 1", h.Writebacks)
+	}
+}
+
+// cloneFixture is a full 16-set cache with clean, dirty and speculative
+// lines and some hits and misses on the counters.
+func cloneFixture() *Cache {
+	c := small()
+	for l := sig.Line(0); l < 32; l++ {
+		c.Fill(l, l%3 == 0, l%3 == 0)
+	}
+	for l := sig.Line(0); l < 40; l += 5 {
+		c.Lookup(l, false)
+	}
+	return c
+}
+
+// TestCacheCloneIndependent mutates one of a cache and its clone, in both
+// directions, and requires the other to stay equal to an identically built
+// twin: contents, Len, hit/miss counters and the next LRU victim.
+func TestCacheCloneIndependent(t *testing.T) {
+	for _, mutateClone := range []bool{true, false} {
+		orig := cloneFixture()
+		cp := orig.Clone()
+		kept, mutated := orig, cp
+		if !mutateClone {
+			kept, mutated = cp, orig
+		}
+		mutated.Fill(100, true, true) // evicts from set 4
+		mutated.Fill(116, false, false)
+		mutated.Lookup(1, true) // write hit
+		mutated.Invalidate(2)
+		if !mutated.SquashSpec(3) {
+			t.Fatal("fixture line 3 is not speculative")
+		}
+		twin := cloneFixture()
+		if !reflect.DeepEqual(kept, twin) {
+			t.Fatalf("mutateClone=%v: the other cache changed", mutateClone)
+		}
+		if kept.Len() != 32 || kept.hits != twin.hits || kept.misses != twin.misses {
+			t.Fatalf("mutateClone=%v: Len %d hits %d misses %d, want 32 %d %d",
+				mutateClone, kept.Len(), kept.hits, kept.misses, twin.hits, twin.misses)
+		}
+		for _, l := range []sig.Line{1, 2, 3, 4, 20} {
+			if !kept.Contains(l) || kept.IsDirty(l) != twin.IsDirty(l) {
+				t.Fatalf("mutateClone=%v: line %d lost or changed", mutateClone, l)
+			}
+		}
+		kv, _, _ := kept.Fill(132, false, false)
+		tv, _, _ := twin.Fill(132, false, false)
+		if kv != tv {
+			t.Fatalf("mutateClone=%v: next victim in set 4 = %d, want %d", mutateClone, kv, tv)
+		}
 	}
 }
