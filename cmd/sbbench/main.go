@@ -8,8 +8,9 @@
 //     each protocol — wall time, simulated cycles/second, and heap
 //     allocations per run;
 //   - sweep: the full figure sweep on the parallel engine (and, without
-//     -quick, serially as well, for the measured speedup), plus per-figure
-//     render times from the populated cache.
+//     -quick and at a parallelism above 1, serially as well, for the
+//     measured speedup), plus per-figure render times from the populated
+//     cache.
 //
 // Output is a JSON report (-o) and, optionally, a benchstat-compatible text
 // file (-gobench) for comparison against bench/baseline.txt. Everything is
@@ -222,7 +223,8 @@ func run() int {
 	rep.Scaling = sc
 
 	fmt.Fprintln(os.Stderr, "== figure sweep ==")
-	sw, figs, code := sweep(ctx, *chunks, *seed, parallelism, !*quick && *server == "", *timeout, *crashDir, *server, reg)
+	serial := !*quick && *server == "" && parallelism > 1 // at j=1 it would rerun the same sweep
+	sw, figs, code := sweep(ctx, *chunks, *seed, parallelism, serial, *timeout, *crashDir, *server, reg)
 	rep.Sweep, rep.Figures = sw, figs
 	if code != 0 && code != 3 {
 		return code

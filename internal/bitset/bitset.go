@@ -18,6 +18,11 @@ type Set struct {
 // New returns a set pre-sized to hold n bits.
 func New(n int) Set { return Set{w: make([]uint64, (n+63)/64)} }
 
+// Over returns a set stored in words, so the caller chooses where its first
+// words live. Growing past cap(words) moves the set to its own allocation;
+// words must have no spare capacity the caller still uses.
+func Over(words []uint64) Set { return Set{w: words} }
+
 func (s *Set) grow(i int) {
 	need := i/64 + 1
 	for len(s.w) < need {

@@ -6,7 +6,8 @@
 package chunk
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"scalablebulk/internal/msg"
 	"scalablebulk/internal/sig"
@@ -56,57 +57,45 @@ type Chunk struct {
 }
 
 // Finalize computes signatures, distinct line sets and the g_vec once the
-// chunk has executed. home maps a line to its home directory module.
+// chunk has executed. home maps a line to its home directory module; it is
+// called once per distinct line.
 func (c *Chunk) Finalize(home func(sig.Line) int) {
 	c.RSig.Clear()
 	c.WSig.Clear()
 	c.ReadLines = c.ReadLines[:0]
 	c.WriteLines = c.WriteLines[:0]
-
-	written := make(map[sig.Line]bool, len(c.Accesses))
-	read := make(map[sig.Line]bool, len(c.Accesses))
-	for _, a := range c.Accesses {
-		if a.Write {
-			written[a.Line] = true
-		} else {
-			read[a.Line] = true
-		}
-	}
-
-	dirSet := make(map[int]bool, 8)
-	wDirSet := make(map[int]bool, 8)
-	for l := range written {
-		c.WSig.Insert(l)
-		c.WriteLines = append(c.WriteLines, l)
-		d := home(l)
-		dirSet[d] = true
-		wDirSet[d] = true
-	}
-	for l := range read {
-		if written[l] {
-			continue // write set subsumes
-		}
-		c.RSig.Insert(l)
-		c.ReadLines = append(c.ReadLines, l)
-		dirSet[home(l)] = true
-	}
-	sortLines(c.ReadLines)
-	sortLines(c.WriteLines)
-
 	c.Dirs = c.Dirs[:0]
-	for d := range dirSet {
-		c.Dirs = append(c.Dirs, d)
-	}
-	sort.Ints(c.Dirs)
 	c.WriteDirs = c.WriteDirs[:0]
-	for d := range wDirSet {
-		c.WriteDirs = append(c.WriteDirs, d)
+
+	// Sorting a copy by line puts every line's accesses in one run, so the
+	// line sets come out sorted and deduplicated without a map.
+	accs := slices.Clone(c.Accesses)
+	slices.SortFunc(accs, func(a, b Access) int { return cmp.Compare(a.Line, b.Line) })
+	for i := 0; i < len(accs); {
+		l, write := accs[i].Line, false
+		for ; i < len(accs) && accs[i].Line == l; i++ {
+			write = write || accs[i].Write // a written line leaves the read set
+		}
+		d := home(l)
+		c.Dirs = insertSorted(c.Dirs, d)
+		if write {
+			c.WSig.Insert(l)
+			c.WriteLines = append(c.WriteLines, l)
+			c.WriteDirs = insertSorted(c.WriteDirs, d)
+		} else {
+			c.RSig.Insert(l)
+			c.ReadLines = append(c.ReadLines, l)
+		}
 	}
-	sort.Ints(c.WriteDirs)
 }
 
-func sortLines(ls []sig.Line) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+// insertSorted adds d to the ascending set ds unless it is already there.
+func insertSorted(ds []int, d int) []int {
+	i, found := slices.BinarySearch(ds, d)
+	if found {
+		return ds
+	}
+	return slices.Insert(ds, i, d)
 }
 
 // ReadOnlyDirs returns how many participating directories record only reads
@@ -123,17 +112,14 @@ func (c *Chunk) ConflictsWith(otherW *sig.Sig) bool {
 
 // TrulyConflictsWith reports whether an exact line of ws is really in the
 // chunk's read or write set; used only to classify squashes into "data
-// conflict" vs "signature aliasing" for the §6.1 statistics.
+// conflict" vs "signature aliasing" for the §6.1 statistics. Both line
+// sets are empty or Finalize's sorted output: each probe is a binary search.
 func (c *Chunk) TrulyConflictsWith(ws []sig.Line) bool {
-	mine := make(map[sig.Line]bool, len(c.ReadLines)+len(c.WriteLines))
-	for _, l := range c.ReadLines {
-		mine[l] = true
-	}
-	for _, l := range c.WriteLines {
-		mine[l] = true
-	}
 	for _, l := range ws {
-		if mine[l] {
+		if _, ok := slices.BinarySearch(c.WriteLines, l); ok {
+			return true
+		}
+		if _, ok := slices.BinarySearch(c.ReadLines, l); ok {
 			return true
 		}
 	}

@@ -11,6 +11,8 @@
 package dir
 
 import (
+	"maps"
+
 	"scalablebulk/internal/bitset"
 	"scalablebulk/internal/chunk"
 	"scalablebulk/internal/event"
@@ -30,14 +32,13 @@ type LineInfo struct {
 }
 
 // State is the machine-wide directory content. Each module only ever
-// touches lines homed at it, so by default a single map keyed by line is
+// touches lines homed at it, so by default a single table keyed by line is
 // equivalent to per-module storage while keeping lookups one-hop. Sharded
-// runs call Partition so each shard's directory modules get their own map:
+// runs call Partition so each shard's directory modules get their own table:
 // the parallel read-path rounds then mutate disjoint parts concurrently
 // without locks, while the (serialized) commit rounds look across parts.
 type State struct {
-	lines  map[sig.Line]*LineInfo   // single-part storage (partOf == nil)
-	parts  []map[sig.Line]*LineInfo // per-shard storage after Partition
+	parts  []table // one table, or one per shard after Partition
 	partOf func(sig.Line) int
 
 	// OnApply, when non-nil, observes every committed-write application
@@ -45,61 +46,108 @@ type State struct {
 	OnApply func(l sig.Line, writer int)
 }
 
+const slabSize = 512 // entries per slab chunk
+
+// table is one part's directory storage (DESIGN.md §20): entries by value in
+// slab chunks that never move (a *LineInfo stays valid as the table grows),
+// indexed by a pointer-free map. Each entry's first sharer word sits in a
+// parallel word chunk, so ≤64-processor sharer sets allocate nothing.
+type table struct {
+	idx   map[sig.Line]int32
+	infos [][]LineInfo
+	words [][]uint64
+}
+
+// entry returns slab entry i.
+func (t *table) entry(i int) *LineInfo { return &t.infos[i/slabSize][i%slabSize] }
+
+func (t *table) get(l sig.Line) *LineInfo {
+	if i, ok := t.idx[l]; ok {
+		return t.entry(int(i))
+	}
+	return nil
+}
+
+// put makes slab entry i clean and unowned over its own first sharer word,
+// appending a slab chunk when i starts one.
+func (t *table) put(i int) *LineInfo {
+	c, k := i/slabSize, i%slabSize
+	if c == len(t.infos) {
+		t.infos = append(t.infos, make([]LineInfo, slabSize))
+		t.words = append(t.words, make([]uint64, slabSize))
+	}
+	li := &t.infos[c][k]
+	*li = LineInfo{Sharers: bitset.Over(t.words[c][k : k+1 : k+1]), Owner: -1}
+	return li
+}
+
+// add appends an entry for l, which must not have one.
+func (t *table) add(l sig.Line) *LineInfo {
+	if t.idx == nil {
+		t.idx = make(map[sig.Line]int32)
+	}
+	i := len(t.idx)
+	t.idx[l] = int32(i)
+	return t.put(i)
+}
+
+// copyFrom makes li, a fresh entry, an independent copy of o.
+func (li *LineInfo) copyFrom(o *LineInfo) {
+	li.Owner, li.Dirty = o.Owner, o.Dirty
+	li.Sharers.Or(o.Sharers)
+}
+
 // NewState returns empty directory state.
-func NewState() *State { return &State{lines: make(map[sig.Line]*LineInfo)} }
+func NewState() *State { return &State{parts: make([]table, 1)} }
 
 // Clone returns an independent deep copy of unpartitioned state, without
-// the OnApply observer. The copied entries share one allocation.
+// the OnApply observer: the index is copied whole, the slab entry by entry.
 func (s *State) Clone() *State {
 	if s.partOf != nil {
 		panic("dir: Clone of partitioned state")
 	}
-	c := &State{lines: make(map[sig.Line]*LineInfo, len(s.lines))}
-	infos := make([]LineInfo, 0, len(s.lines))
-	for l, li := range s.lines {
-		infos = append(infos, LineInfo{Sharers: li.Sharers.Clone(), Owner: li.Owner, Dirty: li.Dirty})
-		c.lines[l] = &infos[len(infos)-1]
+	t := &s.parts[0]
+	c := table{idx: maps.Clone(t.idx)}
+	for i := range len(t.idx) {
+		c.put(i).copyFrom(t.entry(i))
 	}
-	return c
+	return &State{parts: []table{c}}
 }
 
 // Partition splits the storage into parts; partOf maps a line to the part
 // owning its home tile. Every entry is only ever created after the line's
 // page is mapped (reads reach the home they were routed to, commit write
 // sets are finalized through the mapper first), so partOf sees a stable
-// home for every line that has an entry. Existing entries migrate.
+// home for every line that has an entry. Existing entries are copied into
+// their parts.
 func (s *State) Partition(parts int, partOf func(sig.Line) int) {
-	s.parts = make([]map[sig.Line]*LineInfo, parts)
-	for i := range s.parts {
-		s.parts[i] = make(map[sig.Line]*LineInfo)
+	old := &s.parts[0]
+	s.parts = make([]table, parts)
+	for l, i := range old.idx {
+		s.parts[partOf(l)].add(l).copyFrom(old.entry(int(i)))
 	}
-	for l, li := range s.lines {
-		s.parts[partOf(l)][l] = li
-	}
-	s.lines = nil
 	s.partOf = partOf
 }
 
-// tab returns the map holding (or due to hold) a line's entry.
-func (s *State) tab(l sig.Line) map[sig.Line]*LineInfo {
+// tab returns the table holding (or due to hold) a line's entry.
+func (s *State) tab(l sig.Line) *table {
 	if s.partOf == nil {
-		return s.lines
+		return &s.parts[0]
 	}
-	return s.parts[s.partOf(l)]
+	return &s.parts[s.partOf(l)]
 }
 
 // Get returns the entry for a line, or nil if it was never cached.
-func (s *State) Get(l sig.Line) *LineInfo { return s.tab(l)[l] }
+func (s *State) Get(l sig.Line) *LineInfo { return s.tab(l).get(l) }
 
-// Touch returns the entry for a line, creating it if needed.
+// Touch returns the entry for a line, creating it if needed. The entry's
+// address is stable for the life of the State.
 func (s *State) Touch(l sig.Line) *LineInfo {
 	t := s.tab(l)
-	if li, ok := t[l]; ok {
+	if li := t.get(l); li != nil {
 		return li
 	}
-	li := &LineInfo{Owner: -1}
-	t[l] = li
-	return li
+	return t.add(l)
 }
 
 // AddSharer records that processor p now caches line l.
@@ -129,7 +177,7 @@ func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclud
 		if h, ok := mapper.HomeIfMapped(l); !ok || h != home {
 			continue
 		}
-		li := s.tab(l)[l]
+		li := s.Get(l)
 		if li == nil {
 			continue
 		}
@@ -147,7 +195,7 @@ func (s *State) SharersOf(lines []sig.Line, home int, mapper *mem.Mapper, exclud
 // (BulkSC's committing processor, SEQ-PRO's occupier) use this.
 func (s *State) SharersOfAll(lines []sig.Line, exclude int, dst *bitset.Set) {
 	for _, l := range lines {
-		li := s.tab(l)[l]
+		li := s.Get(l)
 		if li == nil {
 			continue
 		}

@@ -161,11 +161,11 @@ func hashName(s string) uint64 {
 	return h
 }
 
-func (a *adv) rng(proc int, seq uint64) *rand.Rand {
+func (a *adv) rng(proc int, seq uint64) *genRand {
 	h := splitmix64(uint64(a.seed) ^ hashName(a.name))
 	h = splitmix64(h ^ uint64(proc))
 	h = splitmix64(h ^ seq)
-	return rand.New(rand.NewSource(int64(h)))
+	return seededRand(int64(h))
 }
 
 // privateLine picks a line in the thread's private region with skewed reuse.
@@ -176,26 +176,28 @@ func (a *adv) privateLine(rng *rand.Rand, proc int) sig.Line {
 }
 
 func (a *adv) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
-	rng := a.rng(proc, seq)
+	g := a.rng(proc, seq)
 	ck := &chunk.Chunk{
-		Tag:   msg.CTag{Proc: proc, Seq: seq},
-		Instr: 2000,
+		Tag:      msg.CTag{Proc: proc, Seq: seq},
+		Instr:    2000,
+		Accesses: g.acc[:0],
 	}
+	defer g.release(ck)
 	if warmup {
-		a.genWarmup(rng, proc, ck)
+		a.genWarmup(g.r, proc, ck)
 		return ck
 	}
 	switch a.p.Kind {
 	case "zipf":
-		a.genZipf(rng, proc, ck)
+		a.genZipf(g, proc, ck)
 	case "pipeline":
-		a.genPipeline(rng, proc, seq, ck)
+		a.genPipeline(g.r, proc, seq, ck)
 	case "convoy":
-		a.genConvoy(rng, proc, seq, ck)
+		a.genConvoy(g.r, proc, seq, ck)
 	case "stormdir":
-		a.genStorm(rng, proc, ck)
+		a.genStorm(g.r, proc, ck)
 	case "kvstore":
-		a.genKV(rng, proc, ck)
+		a.genKV(g, proc, ck)
 	default:
 		panic("workload: unknown adversarial kind " + a.p.Kind)
 	}
@@ -258,8 +260,8 @@ func poolPages(n int) int { return (n + mem.LinesPerPage - 1) / mem.LinesPerPage
 // a small hot pool shared by all cores. The head of the distribution is so
 // popular that concurrent chunks collide constantly — the true-sharing storm
 // the synthetic profiles keep at the paper's ~1.5% squash rate.
-func (a *adv) genZipf(rng *rand.Rand, proc int, ck *chunk.Chunk) {
-	z := rand.NewZipf(rng, a.p.Skew, 1, uint64(a.p.Lines-1))
+func (a *adv) genZipf(g *genRand, proc int, ck *chunk.Chunk) {
+	rng, z := g.r, g.zipfOver(a.p.Skew, uint64(a.p.Lines-1))
 	for len(ck.Accesses) < a.p.Accesses {
 		if rng.Float64() < a.p.PrivateFrac {
 			a.add(ck, a.privateLine(rng, proc), false)
@@ -327,8 +329,8 @@ func (a *adv) genStorm(rng *rand.Rand, proc int, ck *chunk.Chunk) {
 // to an unrelated line via a hash), read-mostly with a small write fraction.
 // Hot-key writes collide across cores; the long tail streams through the
 // caches and scatters directory groups machine-wide.
-func (a *adv) genKV(rng *rand.Rand, proc int, ck *chunk.Chunk) {
-	z := rand.NewZipf(rng, a.p.Skew, 1, uint64(a.p.Lines-1))
+func (a *adv) genKV(g *genRand, proc int, ck *chunk.Chunk) {
+	rng, z := g.r, g.zipfOver(a.p.Skew, uint64(a.p.Lines-1))
 	for len(ck.Accesses) < a.p.Accesses {
 		if rng.Float64() < a.p.PrivateFrac {
 			a.add(ck, a.privateLine(rng, proc), rng.Float64() < 0.5)

@@ -11,7 +11,7 @@ package workload
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 
 	"scalablebulk/internal/chunk"
 	"scalablebulk/internal/mem"
@@ -143,12 +143,14 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 	h := splitmix64(uint64(w.seed))
 	h = splitmix64(h ^ uint64(proc))
 	h = splitmix64(h ^ seq)
-	rng := rand.New(rand.NewSource(int64(h)))
+	g := seededRand(int64(h))
+	rng := g.r
 	p := w.Prof
 
 	ck := &chunk.Chunk{
-		Tag:   msg.CTag{Proc: proc, Seq: seq},
-		Instr: p.ChunkInstr,
+		Tag:      msg.CTag{Proc: proc, Seq: seq},
+		Instr:    p.ChunkInstr,
+		Accesses: g.acc[:0],
 	}
 	privBase := uint64(privateBasePage + proc*privateStride)
 
@@ -165,7 +167,8 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 	if nShared < 1 {
 		nShared = 1
 	}
-	sharedPool := make([]uint64, nShared)
+	var poolBuf [16]uint64 // on the stack for every built-in profile
+	sharedPool := slices.Grow(poolBuf[:0], nShared)[:nShared]
 	dataPages := max(p.SharedPages, 1)
 	sharedSkew := p.SharedSkew
 	if sharedSkew < 1 {
@@ -255,5 +258,6 @@ func (w *Workload) gen(proc int, seq uint64, warmup bool) *chunk.Chunk {
 		line := sig.Line(hotWritePage*mem.LinesPerPage + uint64(rng.Intn(p.HotLines)))
 		ck.Accesses = append(ck.Accesses, chunk.Access{Line: line, Write: true})
 	}
+	g.release(ck)
 	return ck
 }
